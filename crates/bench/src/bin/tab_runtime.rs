@@ -40,10 +40,11 @@ fn main() {
     println!("{}", "-".repeat(64));
     println!("\nreproduction note: the paper measured the source model 43 %");
     println!("slower on ELDO, whose sparse kernel pays per extra branch");
-    println!("equation. In this dense-LU kernel the cost balance flips: the");
-    println!("0.01 Ω short makes the Jacobian stiff and costs extra Newton");
-    println!("iterations, while the ideal 0 V source is handled exactly —");
-    println!("so the resistor model ends up the slower one here. What *does*");
+    println!("equation. This kernel is sparse as well, but one more branch");
+    println!("row costs it little; what separates the models here is Newton");
+    println!("work (the 0.01 Ω short makes the Jacobian stiff, the ideal 0 V");
+    println!("source is handled exactly), so the table above, not the");
+    println!("paper's 43 %, says which model is slower. What *does*");
     println!("reproduce is the paper's actionable conclusion: both models");
     println!("yield identical fault coverage (\"nearly identical plots\"),");
     println!("and the choice of resistor value is the delicate part (Fig. 6).");

@@ -29,6 +29,7 @@ pub const REQUIRED_COUNTERS: &[&str] = &[
     "spice.tran.runs",
     "spice.tran.steps",
     "spice.newton.iterations",
+    "spice.newton.cycle_exits",
     "spice.batch.batches",
     "spice.batch.lanes",
     "spice.batch.compactions",

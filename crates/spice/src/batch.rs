@@ -625,10 +625,10 @@ pub struct BatchRunStats {
 }
 
 /// Per-job precomputed context (map, capacitances, stamp plan).
-struct JobCtx<'c> {
+struct JobCtx {
     map: UnknownMap,
     instances: Vec<CapInstance>,
-    plan: StampPlan<'c>,
+    plan: StampPlan,
 }
 
 /// Live state of one occupied lane slot.
@@ -700,7 +700,7 @@ fn initial_solution(
 fn start_lane<F: FnMut(usize, f64, &[f64]) -> bool>(
     j: usize,
     jobs: &[LaneJob<'_>],
-    ctxs: &[Option<JobCtx<'_>>],
+    ctxs: &[Option<JobCtx>],
     spec: &TranSpec,
     cache: Option<&PatternCache>,
     n_nodes: usize,
@@ -782,7 +782,7 @@ where
 
     // Precompute per-job context; a job whose stamp plan cannot be
     // built (unknown model) is ejected outright.
-    let ctxs: Vec<Option<JobCtx<'_>>> = jobs
+    let ctxs: Vec<Option<JobCtx>> = jobs
         .iter()
         .map(|job| {
             let map = UnknownMap::new(job.circuit);
@@ -957,14 +957,7 @@ where
                     ..StampParams::default()
                 };
                 let mut stamper = sys.lane(l);
-                stamp_nonlinear(
-                    jobs[st.job].circuit,
-                    &ctx.map,
-                    &ctx.plan,
-                    &nl.x,
-                    &mut stamper,
-                    &params,
-                );
+                stamp_nonlinear(&ctx.plan, &nl.x, &mut stamper, &params);
             }
             let mut ok = active.clone();
             sys.solve(&active, &mut ok);

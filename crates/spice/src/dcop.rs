@@ -3,7 +3,25 @@
 //! The operating point tries plain Newton first, then gmin stepping
 //! (sweeping a node-shunt conductance down in decades), then source
 //! stepping (ramping all independent sources from zero) — the classic
-//! SPICE fallback ladder.
+//! SPICE fallback ladder. The transient has its own ladder over the
+//! same solver (see [`crate::tran`]).
+//!
+//! ## The exact cycle exit
+//!
+//! One Newton attempt ([`solve_newton_in`]) ends early when its iterate
+//! repeats bit for bit. While the linear solver keeps its factorisation
+//! path (no re-pivot, no dense rescue, no demotion), an iteration is a
+//! pure function of the iterate: the stamps, the refactorisation and
+//! the damped update all read nothing else. So once `x` comes back to
+//! an earlier value, the remaining iterations would replay a cycle that
+//! already failed the convergence test, and would leave the solver in
+//! the same state. The attempt then returns exactly the error it would
+//! have returned after `max_iter` iterations. Brent's algorithm finds
+//! the repeat with one saved iterate; the saved iterate is replaced
+//! whenever the solver's path changes, since an earlier iterate then
+//! proves nothing about the later ones. Failing transient rungs often
+//! settle into such cycles long before their iteration cap, so the exit
+//! removes most of their linear solves without moving any result.
 
 use crate::devices::{
     stamp_all_planned, stamp_linear, stamp_nonlinear, StampParams, StampPlan, UnknownMap,
@@ -67,23 +85,28 @@ pub fn solve_newton(
 ///
 /// On the sparse path the step-constant (linear) stamps are assembled
 /// once up front and restored by memcpy each iteration; only the
-/// MOSFET linearisations are re-stamped per iterate.
+/// MOSFET linearisations are re-stamped per iterate. An attempt whose
+/// iterate repeats bit for bit ends at once with the `max_iter` error
+/// (see the module docs); `x0` is never modified.
 ///
 /// # Errors
-/// [`SpiceError::NoConvergence`] after `max_iter` iterations,
-/// [`SpiceError::Singular`] when the Jacobian factorisation fails.
+/// [`SpiceError::NoConvergence`] after `max_iter` iterations (or their
+/// exact equivalent, a repeating iterate), [`SpiceError::Singular`]
+/// when the Jacobian factorisation fails.
 #[allow(clippy::too_many_arguments)]
 pub fn solve_newton_in(
     solver: &mut MnaSolver,
     ckt: &Circuit,
     map: &UnknownMap,
-    plan: &StampPlan<'_>,
+    plan: &StampPlan,
     x0: &[f64],
     params: &StampParams<'_>,
     opts: &NewtonOpts,
     analysis: &str,
 ) -> Result<(Vec<f64>, usize), SpiceError> {
     let mut x = x0.to_vec();
+    let mut x_new = vec![0.0; x.len()];
+    let mut cycle = CycleDetector::new(&x, solver.stats().path_changes());
     if let Some(sys) = solver.sparse_mut() {
         sys.clear();
         stamp_linear(ckt, map, sys, params);
@@ -93,13 +116,13 @@ pub fn solve_newton_in(
         match solver.backend_mut() {
             SolverBackend::Sparse(sys) => {
                 sys.restore_baseline();
-                stamp_nonlinear(ckt, map, plan, &x, sys, params);
+                stamp_nonlinear(plan, &x, sys, params);
             }
             SolverBackend::Dense(sys) => {
                 stamp_all_planned(ckt, map, plan, &x, sys, params);
             }
         }
-        let x_new = solver.solve(analysis)?;
+        solver.solve(analysis, &mut x_new)?;
         // A non-finite iterate means the solve overflowed (e.g.
         // inf − inf in back-substitution). NaN comparisons would
         // otherwise read as "converged" and hand a poisoned solution
@@ -114,12 +137,68 @@ pub fn solve_newton_in(
         if newton_update(&mut x, &x_new, opts) {
             return Ok((x, iter + 1));
         }
+        if cycle.repeats(&x, solver.stats().path_changes()) {
+            CYCLE_EXITS.inc();
+            break;
+        }
     }
     CONVERGENCE_FAILURES.inc();
     Err(SpiceError::NoConvergence {
         analysis: analysis.to_string(),
         detail: format!("no convergence in {} iterations", opts.max_iter),
     })
+}
+
+/// Brent's cycle detection over a sequence of iterates, comparing bit
+/// patterns. Feed it every iterate in order with the solver's
+/// [`crate::SolverStats::path_changes`] count at that point.
+#[derive(Debug)]
+struct CycleDetector {
+    /// The iterate the later ones are compared against.
+    saved: Vec<f64>,
+    /// Path changes when `saved` was taken.
+    path: u64,
+    /// Iterates since `saved` was taken, and the count at which it is
+    /// replaced next (doubling each time).
+    since: usize,
+    power: usize,
+}
+
+impl CycleDetector {
+    fn new(x0: &[f64], path: u64) -> Self {
+        CycleDetector {
+            saved: x0.to_vec(),
+            path,
+            since: 0,
+            power: 1,
+        }
+    }
+
+    /// True when `x` equals, bit for bit, an earlier iterate reached
+    /// along the same solver path — the sequence from there on is
+    /// periodic. A changed path restarts the detection at `x`.
+    fn repeats(&mut self, x: &[f64], path: u64) -> bool {
+        if path != self.path {
+            self.saved.copy_from_slice(x);
+            self.path = path;
+            self.since = 0;
+            self.power = 1;
+            return false;
+        }
+        self.since += 1;
+        if x.iter()
+            .zip(&self.saved)
+            .all(|(a, b)| a.to_bits() == b.to_bits())
+        {
+            return true;
+        }
+        if self.since == self.power {
+            self.saved.copy_from_slice(x);
+            self.since = 0;
+            self.power *= 2;
+        }
+        false
+    }
 }
 
 /// One damped Newton update: moves `x` towards `x_new` with each
@@ -140,10 +219,14 @@ pub(crate) fn newton_update(x: &mut [f64], x_new: &[f64], opts: &NewtonOpts) -> 
     converged
 }
 
-/// Newton runs that exhausted `max_iter` (includes rungs of the dcop
-/// ladder that are *expected* to fail before a later rung succeeds).
+/// Newton runs that exhausted `max_iter` or ended on a repeating
+/// iterate (includes rungs of the dcop ladder that are *expected* to
+/// fail before a later rung succeeds).
 static CONVERGENCE_FAILURES: cat_telemetry::StaticCounter =
     cat_telemetry::StaticCounter::new("spice.newton.convergence_failures");
+/// The subset of those failures that ended early on a bit-exact cycle.
+static CYCLE_EXITS: cat_telemetry::StaticCounter =
+    cat_telemetry::StaticCounter::new("spice.newton.cycle_exits");
 /// Newton runs aborted on a non-finite iterate.
 static NONFINITE_ABORTS: cat_telemetry::StaticCounter =
     cat_telemetry::StaticCounter::new("spice.newton.nonfinite_aborts");
@@ -187,7 +270,7 @@ pub fn dc_operating_point_with(
 fn dcop_ladder(
     ckt: &Circuit,
     map: &UnknownMap,
-    plan: &StampPlan<'_>,
+    plan: &StampPlan,
     solver: &mut MnaSolver,
 ) -> Result<Vec<f64>, SpiceError> {
     let opts = NewtonOpts::default();
@@ -269,6 +352,208 @@ fn dcop_ladder(
 mod tests {
     use super::*;
     use crate::netlist::{ElementKind, MosModel, Waveform};
+    use crate::sparse::SolverStats;
+
+    /// Feeds `seq` to a fresh detector (seeded with `seq[0]`, a constant
+    /// path) and returns the index of the iterate it fired on.
+    fn first_repeat(seq: &[Vec<f64>]) -> Option<usize> {
+        let mut det = CycleDetector::new(&seq[0], 0);
+        (1..seq.len()).find(|&k| det.repeats(&seq[k], 0))
+    }
+
+    #[test]
+    fn cycle_detector_fires_on_a_bit_exact_repeat_of_any_period() {
+        for period in 1..=9usize {
+            for prefix in 0..=6usize {
+                let seq: Vec<Vec<f64>> = (0..200)
+                    .map(|k| {
+                        if k < prefix {
+                            vec![k as f64, 0.5]
+                        } else {
+                            vec![100.0 + ((k - prefix) % period) as f64, -1.0]
+                        }
+                    })
+                    .collect();
+                let k = first_repeat(&seq)
+                    .unwrap_or_else(|| panic!("period {period}, prefix {prefix}: no exit"));
+                // It fires only on a true repeat, and within Brent's
+                // bound of a few times prefix + period.
+                assert!(
+                    k >= prefix + period,
+                    "period {period}, prefix {prefix}: {k}"
+                );
+                assert!(seq[..k].contains(&seq[k]));
+                assert!(
+                    k <= 2 * (prefix + period) + period,
+                    "period {period}, prefix {prefix}: fired late at {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cycle_detector_never_fires_on_a_non_repeating_sequence() {
+        // Neighbouring doubles one ULP apart, and +0.0 against −0.0
+        // (equal as numbers, different bits): no repeat in either.
+        let ulps: Vec<Vec<f64>> = (0..5000u64)
+            .map(|k| vec![f64::from_bits(1.0f64.to_bits() + k), 2.0])
+            .collect();
+        assert_eq!(first_repeat(&ulps), None);
+        let zeros = vec![vec![0.0, 1.0], vec![-0.0, 1.0], vec![0.5, 1.0]];
+        assert_eq!(first_repeat(&zeros), None);
+        // A slow drift that nearly returns (the 200-iteration failures
+        // that only step control can remove) is not a cycle either.
+        let drift: Vec<Vec<f64>> = (0..5000)
+            .map(|k| vec![(k as f64 * 0.37).sin(), 1e-9 * k as f64])
+            .collect();
+        assert_eq!(first_repeat(&drift), None);
+    }
+
+    #[test]
+    fn cycle_detector_restarts_after_a_repivot_rescue_or_demotion() {
+        let bumps: [fn(&mut SolverStats); 3] = [
+            |s| s.repivots += 1,
+            |s| s.dense_fallbacks += 1,
+            |s| s.demotions += 1,
+        ];
+        for bump in bumps {
+            let x = vec![0.25, -3.0];
+            let mut stats = SolverStats::default();
+            let mut det = CycleDetector::new(&x, stats.path_changes());
+            // The same iterate, but the solver changed its path before
+            // each one: an earlier iterate proves nothing.
+            for _ in 0..8 {
+                bump(&mut stats);
+                assert!(!det.repeats(&x, stats.path_changes()));
+            }
+            // Once the path holds, the next repeat fires.
+            assert!(det.repeats(&x, stats.path_changes()));
+        }
+    }
+
+    /// A CMOS Schmitt trigger (no capacitances): with the input at 1 V,
+    /// damped Newton from all-zero node voltages never converges and
+    /// falls into a bit-exact cycle.
+    fn schmitt_trigger(vin: f64) -> Circuit {
+        let mut c = Circuit::new("schmitt");
+        c.add_model(MosModel::default_nmos("n1"));
+        c.add_model(MosModel::default_pmos("p1"));
+        let vdd = c.node("vdd");
+        let inp = c.node("in");
+        let out = c.node("out");
+        let x = c.node("x");
+        let y = c.node("y");
+        let gnd = Circuit::GROUND;
+        for (name, node, v) in [("Vdd", vdd, 5.0), ("Vin", inp, vin)] {
+            c.add(
+                name,
+                vec![node, gnd],
+                ElementKind::Vsource {
+                    wave: Waveform::Dc(v),
+                },
+            );
+        }
+        let mos = |model: &str, w: f64| ElementKind::Mosfet {
+            model: model.into(),
+            w,
+            l: 1e-6,
+        };
+        c.add("M1", vec![x, inp, gnd, gnd], mos("n1", 10e-6));
+        c.add("M2", vec![out, inp, x, gnd], mos("n1", 10e-6));
+        c.add("M3", vec![vdd, out, x, gnd], mos("n1", 10e-6));
+        c.add("M4", vec![y, inp, vdd, vdd], mos("p1", 25e-6));
+        c.add("M5", vec![out, inp, y, vdd], mos("p1", 25e-6));
+        c.add("M6", vec![gnd, out, y, vdd], mos("p1", 25e-6));
+        c
+    }
+
+    #[test]
+    fn cycling_newton_attempt_ends_with_the_max_iter_error() {
+        let c = schmitt_trigger(1.0);
+        let map = UnknownMap::new(&c);
+        let plan = StampPlan::new(&c).unwrap();
+        let params = StampParams::default();
+        let damped = NewtonOpts {
+            max_iter: 600,
+            max_step: 0.1,
+            ..NewtonOpts::default()
+        };
+        let x0 = vec![0.0; map.dim()];
+        let caller_x = x0.clone();
+
+        let mut solver = MnaSolver::for_circuit(&c, &map, SolverKind::Sparse, None);
+        let err = solve_newton_in(
+            &mut solver,
+            &c,
+            &map,
+            &plan,
+            &x0,
+            &params,
+            &damped,
+            "dc test",
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            SpiceError::NoConvergence {
+                analysis: "dc test".into(),
+                detail: "no convergence in 600 iterations".into(),
+            }
+        );
+        let spent = solver.stats();
+        assert!(
+            spent.refactorisations < damped.max_iter as u64,
+            "exit after {} refactorisations",
+            spent.refactorisations
+        );
+        assert_eq!(x0, caller_x, "the caller's iterate is untouched");
+
+        // The same attempt run to its cap without the exit: it never
+        // converges, never errors, and takes the same solver path.
+        let mut reference = MnaSolver::for_circuit(&c, &map, SolverKind::Sparse, None);
+        let sys = reference.sparse_mut().unwrap();
+        stamp_linear(&c, &map, sys, &params);
+        sys.snapshot_baseline();
+        let (mut x, mut x_new) = (x0.clone(), vec![0.0; map.dim()]);
+        for iter in 0..damped.max_iter {
+            let sys = reference.sparse_mut().expect("stays sparse");
+            sys.restore_baseline();
+            stamp_nonlinear(&plan, &x, sys, &params);
+            reference.solve("reference", &mut x_new).unwrap();
+            assert!(x_new.iter().all(|v| v.is_finite()));
+            assert!(
+                !newton_update(&mut x, &x_new, &damped),
+                "converged at iteration {iter}"
+            );
+        }
+        let full = reference.stats();
+        assert_eq!(full.refactorisations, damped.max_iter as u64);
+        assert_eq!(full.path_changes(), spent.path_changes());
+
+        // The exit point depends on the iterates, not on the cap.
+        let longer = NewtonOpts {
+            max_iter: 5000,
+            ..damped.clone()
+        };
+        let mut solver = MnaSolver::for_circuit(&c, &map, SolverKind::Sparse, None);
+        let err = solve_newton_in(
+            &mut solver,
+            &c,
+            &map,
+            &plan,
+            &x0,
+            &params,
+            &longer,
+            "dc test",
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, SpiceError::NoConvergence { detail, .. }
+                if detail == "no convergence in 5000 iterations"),
+            "{err:?}"
+        );
+        assert_eq!(solver.stats(), spent);
+    }
 
     #[test]
     fn non_finite_iterate_fails_instead_of_converging() {

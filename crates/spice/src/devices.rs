@@ -1,8 +1,12 @@
 //! Device evaluation and MNA stamping.
 //!
-//! One function, [`stamp_all`], loads the whole circuit into an
-//! [`MnaSystem`] for a single Newton iteration, linearising nonlinear
-//! devices about the current solution estimate.
+//! Stamping splits along what a Newton iteration changes:
+//! [`stamp_linear`] loads everything that is constant within one
+//! Newton solve (shunts, capacitance companions, resistors, sources),
+//! and [`stamp_nonlinear`] re-linearises the MOSFETs about the current
+//! estimate from a [`StampPlan`] resolved once per analysis.
+//! [`stamp_all_planned`] does both, for backends that re-assemble the
+//! whole matrix every iteration.
 
 use crate::mna::Stamper;
 use crate::netlist::{Circuit, ElementKind, MosModel, MosPolarity, NodeId};
@@ -129,48 +133,80 @@ pub struct MosEval {
     pub gmbs: f64,
 }
 
+/// The instance constants of one MOSFET's level-1 evaluation, derived
+/// from its model card and geometry once per analysis instead of once
+/// per Newton iteration.
+#[derive(Debug, Clone, Copy)]
+struct MosParams {
+    /// kp·W/L.
+    beta: f64,
+    /// |vto|: the primed frame uses a positive threshold.
+    vto: f64,
+    /// Surface potential, floored at 1 mV.
+    phi: f64,
+    sqrt_phi: f64,
+    gamma: f64,
+    lambda: f64,
+}
+
+impl MosParams {
+    fn new(model: &MosModel, w: f64, l: f64) -> Self {
+        let phi = model.phi.max(1e-3);
+        MosParams {
+            beta: model.kp * w / l,
+            vto: model.vto.abs(),
+            phi,
+            sqrt_phi: phi.sqrt(),
+            gamma: model.gamma,
+            lambda: model.lambda,
+        }
+    }
+
+    /// The Shichman–Hodges level-1 equations in the primed frame.
+    fn eval(&self, vgs: f64, vds: f64, vbs: f64) -> MosEval {
+        debug_assert!(vds >= 0.0);
+        let beta = self.beta;
+        // Body effect: vth = vto' + gamma (sqrt(phi - vbs) - sqrt(phi)).
+        let arg = (self.phi - vbs).max(1e-6);
+        let sqrt_arg = arg.sqrt();
+        let vth = self.vto + self.gamma * (sqrt_arg - self.sqrt_phi);
+        let dvth_dvbs = -self.gamma / (2.0 * sqrt_arg);
+
+        let vov = vgs - vth;
+        if vov <= 0.0 {
+            // Cutoff.
+            return MosEval {
+                ids: 0.0,
+                gm: 0.0,
+                gds: 0.0,
+                gmbs: 0.0,
+            };
+        }
+        let clm = 1.0 + self.lambda * vds;
+        if vds < vov {
+            // Triode.
+            let core = vov * vds - 0.5 * vds * vds;
+            let ids = beta * core * clm;
+            let gm = beta * vds * clm;
+            let gds = beta * (vov - vds) * clm + beta * core * self.lambda;
+            let gmbs = -gm_body(gm, dvth_dvbs);
+            MosEval { ids, gm, gds, gmbs }
+        } else {
+            // Saturation.
+            let ids = 0.5 * beta * vov * vov * clm;
+            let gm = beta * vov * clm;
+            let gds = 0.5 * beta * vov * vov * self.lambda;
+            let gmbs = -gm_body(gm, dvth_dvbs);
+            MosEval { ids, gm, gds, gmbs }
+        }
+    }
+}
+
 /// Evaluates the Shichman–Hodges level-1 model in the primed frame
 /// (voltages already normalised so that NMOS equations apply and
 /// `vds ≥ 0`).
 pub fn mos_eval(model: &MosModel, w: f64, l: f64, vgs: f64, vds: f64, vbs: f64) -> MosEval {
-    debug_assert!(vds >= 0.0);
-    let beta = model.kp * w / l;
-    // Body effect: vth = vto' + gamma (sqrt(phi - vbs) - sqrt(phi)).
-    let vto = model.vto.abs(); // primed frame uses positive threshold
-    let phi = model.phi.max(1e-3);
-    let sqrt_phi = phi.sqrt();
-    let arg = (phi - vbs).max(1e-6);
-    let sqrt_arg = arg.sqrt();
-    let vth = vto + model.gamma * (sqrt_arg - sqrt_phi);
-    let dvth_dvbs = -model.gamma / (2.0 * sqrt_arg);
-
-    let vov = vgs - vth;
-    if vov <= 0.0 {
-        // Cutoff.
-        return MosEval {
-            ids: 0.0,
-            gm: 0.0,
-            gds: 0.0,
-            gmbs: 0.0,
-        };
-    }
-    let clm = 1.0 + model.lambda * vds;
-    if vds < vov {
-        // Triode.
-        let core = vov * vds - 0.5 * vds * vds;
-        let ids = beta * core * clm;
-        let gm = beta * vds * clm;
-        let gds = beta * (vov - vds) * clm + beta * core * model.lambda;
-        let gmbs = -gm_body(gm, dvth_dvbs);
-        MosEval { ids, gm, gds, gmbs }
-    } else {
-        // Saturation.
-        let ids = 0.5 * beta * vov * vov * clm;
-        let gm = beta * vov * clm;
-        let gds = 0.5 * beta * vov * vov * model.lambda;
-        let gmbs = -gm_body(gm, dvth_dvbs);
-        MosEval { ids, gm, gds, gmbs }
-    }
+    MosParams::new(model, w, l).eval(vgs, vds, vbs)
 }
 
 /// gmbs = ∂ids/∂vbs = gm · (−∂vth/∂vbs); helper keeps the sign in one
@@ -179,45 +215,62 @@ fn gm_body(gm: f64, dvth_dvbs: f64) -> f64 {
     gm * dvth_dvbs
 }
 
-/// Per-analysis stamp plan: MOS model references resolved once, so the
-/// per-iteration assembly does no string lowering or hash lookups. Build
-/// it alongside the [`crate::sparse::MnaSolver`] and reuse it for every
-/// Newton iteration of the analysis.
-#[derive(Debug, Clone)]
-pub struct StampPlan<'c> {
-    /// Resolved model per element (None for non-MOS elements), parallel
-    /// to `ckt.elements()`.
-    models: Vec<Option<&'c MosModel>>,
-    /// Element indices of the MOSFETs, so the per-iteration nonlinear
-    /// restamp walks only the devices it needs.
-    mos: Vec<u32>,
+/// One MOSFET with everything its per-iteration stamp needs resolved:
+/// terminal unknowns, polarity and the evaluation constants.
+#[derive(Debug, Clone, Copy)]
+struct MosDevice {
+    /// Unknown indices of drain, gate, source and bulk (`None` =
+    /// ground).
+    d: Option<usize>,
+    g: Option<usize>,
+    s: Option<usize>,
+    b: Option<usize>,
+    /// +1 for NMOS, −1 for PMOS.
+    sign: f64,
+    params: MosParams,
 }
 
-impl<'c> StampPlan<'c> {
-    /// Resolves every MOS model reference up front.
+/// Per-analysis stamp plan: one resolved device record per MOSFET, in
+/// element order, so the per-iteration assembly does no model lookup,
+/// no W/L division and no square root of φ. Build it alongside the
+/// [`crate::sparse::MnaSolver`] and reuse it for every Newton iteration
+/// of the analysis.
+#[derive(Debug, Clone)]
+pub struct StampPlan {
+    mos: Vec<MosDevice>,
+}
+
+impl StampPlan {
+    /// Resolves every MOSFET up front.
     ///
     /// # Errors
     /// [`SpiceError::Elaboration`] when a MOS references an unknown
     /// model.
-    pub fn new(ckt: &'c Circuit) -> Result<Self, SpiceError> {
-        let mut models = Vec::with_capacity(ckt.elements().len());
+    pub fn new(ckt: &Circuit) -> Result<Self, SpiceError> {
+        let map = UnknownMap::new(ckt);
         let mut mos = Vec::new();
-        for (ei, e) in ckt.elements().iter().enumerate() {
-            match &e.kind {
-                ElementKind::Mosfet { model, .. } => {
-                    let m = ckt.models.get(&model.to_ascii_lowercase()).ok_or_else(|| {
-                        SpiceError::Elaboration(format!(
-                            "element {} references undefined model `{model}`",
-                            e.name
-                        ))
-                    })?;
-                    models.push(Some(m));
-                    mos.push(ei as u32);
-                }
-                _ => models.push(None),
+        for e in ckt.elements() {
+            if let ElementKind::Mosfet { model, w, l } = &e.kind {
+                let m = ckt.models.get(&model.to_ascii_lowercase()).ok_or_else(|| {
+                    SpiceError::Elaboration(format!(
+                        "element {} references undefined model `{model}`",
+                        e.name
+                    ))
+                })?;
+                mos.push(MosDevice {
+                    d: map.node_var(e.nodes[0]),
+                    g: map.node_var(e.nodes[1]),
+                    s: map.node_var(e.nodes[2]),
+                    b: map.node_var(e.nodes[3]),
+                    sign: match m.polarity {
+                        MosPolarity::Nmos => 1.0,
+                        MosPolarity::Pmos => -1.0,
+                    },
+                    params: MosParams::new(m, *w, *l),
+                });
             }
         }
-        Ok(StampPlan { models, mos })
+        Ok(StampPlan { mos })
     }
 }
 
@@ -246,14 +299,14 @@ pub fn stamp_all<S: Stamper>(
 pub fn stamp_all_planned<S: Stamper>(
     ckt: &Circuit,
     map: &UnknownMap,
-    plan: &StampPlan<'_>,
+    plan: &StampPlan,
     x: &[f64],
     sys: &mut S,
     params: &StampParams<'_>,
 ) {
     sys.clear();
     stamp_linear(ckt, map, sys, params);
-    stamp_nonlinear(ckt, map, plan, x, sys, params);
+    stamp_nonlinear(plan, x, sys, params);
 }
 
 /// Stamps everything that does **not** depend on the Newton iterate:
@@ -316,59 +369,39 @@ pub fn stamp_linear<S: Stamper>(
 /// Stamps the iterate-dependent devices (the MOSFET linearisations) at
 /// solution estimate `x`.
 pub fn stamp_nonlinear<S: Stamper>(
-    ckt: &Circuit,
-    map: &UnknownMap,
-    plan: &StampPlan<'_>,
+    plan: &StampPlan,
     x: &[f64],
     sys: &mut S,
     params: &StampParams<'_>,
 ) {
-    let elements = ckt.elements();
-    for &ei in &plan.mos {
-        let e = &elements[ei as usize];
-        let ElementKind::Mosfet { w, l, .. } = &e.kind else {
-            unreachable!("plan.mos indexes only MOSFETs");
-        };
-        let model = plan.models[ei as usize].expect("plan resolves every MOS model");
-        stamp_mosfet(e.nodes.as_slice(), model, *w, *l, map, x, sys, params);
+    for dev in &plan.mos {
+        stamp_mosfet(dev, x, sys, params.gmin);
     }
 }
 
 /// Linearises and stamps one MOSFET.
-#[allow(clippy::too_many_arguments)]
-fn stamp_mosfet<S: Stamper>(
-    nodes: &[NodeId],
-    model: &MosModel,
-    w: f64,
-    l: f64,
-    map: &UnknownMap,
-    x: &[f64],
-    sys: &mut S,
-    params: &StampParams<'_>,
-) {
-    let (d, g, s, b) = (nodes[0], nodes[1], nodes[2], nodes[3]);
-    let sign = match model.polarity {
-        MosPolarity::Nmos => 1.0,
-        MosPolarity::Pmos => -1.0,
+fn stamp_mosfet<S: Stamper>(dev: &MosDevice, x: &[f64], sys: &mut S, gmin: f64) {
+    let voltage = |var: Option<usize>| match var {
+        None => 0.0,
+        Some(i) => x[i],
     };
-    let vd = map.voltage(x, d);
-    let vg = map.voltage(x, g);
-    let vs = map.voltage(x, s);
-    let vb = map.voltage(x, b);
+    let sign = dev.sign;
+    let vd = voltage(dev.d);
+    let vg = voltage(dev.g);
+    let vs = voltage(dev.s);
+    let vb = voltage(dev.b);
 
     // The MOS is symmetric: operate in the frame where vds' >= 0.
-    let (nd, ns) = if sign * (vd - vs) >= 0.0 {
-        (d, s)
+    let (vnd_i, vns_i, vnd, vns) = if sign * (vd - vs) >= 0.0 {
+        (dev.d, dev.s, vd, vs)
     } else {
-        (s, d)
+        (dev.s, dev.d, vs, vd)
     };
-    let vnd = map.voltage(x, nd);
-    let vns = map.voltage(x, ns);
     let vgs_p = sign * (vg - vns);
     let vds_p = sign * (vnd - vns);
     let vbs_p = sign * (vb - vns);
 
-    let ev = mos_eval(model, w, l, vgs_p, vds_p, vbs_p);
+    let ev = dev.params.eval(vgs_p, vds_p, vbs_p);
 
     // Translate the primed-frame linearisation into unprimed stamps (see
     // DESIGN.md §5.5): every sign cancels because both the controlling
@@ -380,12 +413,7 @@ fn stamp_mosfet<S: Stamper>(
     // skipped entirely for cutoff devices. This is the kernel's hottest
     // loop; aliasing (diode-connected gates) stays correct because
     // every write is `+=`.
-    let vnd_i = map.node_var(nd);
-    let vns_i = map.node_var(ns);
-    let vg_i = map.node_var(g);
-    let vb_i = map.node_var(b);
-
-    let g_ch = ev.gds + params.gmin;
+    let g_ch = ev.gds + gmin;
     let g_sum = ev.gm + ev.gmbs;
     let ieq = sign * (ev.ids - ev.gm * vgs_p - ev.gds * vds_p - ev.gmbs * vbs_p);
     if let Some(r) = vnd_i {
@@ -394,12 +422,12 @@ fn stamp_mosfet<S: Stamper>(
             sys.add(r, c, -g_ch - g_sum);
         }
         if ev.gm != 0.0 {
-            if let Some(c) = vg_i {
+            if let Some(c) = dev.g {
                 sys.add(r, c, ev.gm);
             }
         }
         if ev.gmbs != 0.0 {
-            if let Some(c) = vb_i {
+            if let Some(c) = dev.b {
                 sys.add(r, c, ev.gmbs);
             }
         }
@@ -411,12 +439,12 @@ fn stamp_mosfet<S: Stamper>(
         }
         sys.add(r, r, g_ch + g_sum);
         if ev.gm != 0.0 {
-            if let Some(c) = vg_i {
+            if let Some(c) = dev.g {
                 sys.add(r, c, -ev.gm);
             }
         }
         if ev.gmbs != 0.0 {
-            if let Some(c) = vb_i {
+            if let Some(c) = dev.b {
                 sys.add(r, c, -ev.gmbs);
             }
         }

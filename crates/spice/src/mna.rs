@@ -161,8 +161,8 @@ impl MnaSystem {
         self.rhs.copy_from_slice(rhs);
     }
 
-    /// Solves the system in place by LU with partial pivoting, returning
-    /// the solution vector.
+    /// Solves the system in place by LU with partial pivoting, writing
+    /// the solution into `x` (length [`MnaSystem::dim`]).
     ///
     /// Singularity is judged *relative to each column's original
     /// scale* ([`REL_PIVOT_TOL`]): a column whose best pivot collapses
@@ -172,8 +172,9 @@ impl MnaSystem {
     ///
     /// # Errors
     /// [`SpiceError::Singular`] when no usable pivot exists.
-    pub fn solve(&mut self, analysis: &str) -> Result<Vec<f64>, SpiceError> {
+    pub fn solve(&mut self, analysis: &str, x: &mut [f64]) -> Result<(), SpiceError> {
         let n = self.n;
+        debug_assert_eq!(x.len(), n);
         let a = &mut self.a;
         let b = &mut self.rhs;
         let mut perm: Vec<usize> = (0..n).collect();
@@ -220,7 +221,6 @@ impl MnaSystem {
             }
         }
         // Back substitution.
-        let mut x = vec![0.0; n];
         for col in (0..n).rev() {
             let r = perm[col];
             let mut sum = b[r];
@@ -229,7 +229,7 @@ impl MnaSystem {
             }
             x[col] = sum / a[r * n + col];
         }
-        Ok(x)
+        Ok(())
     }
 }
 
@@ -244,7 +244,8 @@ mod tests {
             s.add(i, i, 1.0);
             s.add_rhs(i, (i + 1) as f64);
         }
-        let x = s.solve("test").unwrap();
+        let mut x = vec![0.0; s.dim()];
+        s.solve("test", &mut x).unwrap();
         assert_eq!(x, vec![1.0, 2.0, 3.0]);
     }
 
@@ -256,7 +257,8 @@ mod tests {
         s.add(1, 0, 2.0);
         s.add_rhs(0, 3.0);
         s.add_rhs(1, 4.0);
-        let x = s.solve("test").unwrap();
+        let mut x = vec![0.0; s.dim()];
+        s.solve("test", &mut x).unwrap();
         assert!((x[0] - 2.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
     }
@@ -269,7 +271,11 @@ mod tests {
         s.add(1, 0, 1.0);
         s.add(1, 1, 1.0);
         s.add_rhs(0, 1.0);
-        assert!(matches!(s.solve("test"), Err(SpiceError::Singular { .. })));
+        let mut x = vec![0.0; 2];
+        assert!(matches!(
+            s.solve("test", &mut x),
+            Err(SpiceError::Singular { .. })
+        ));
     }
 
     #[test]
@@ -282,7 +288,8 @@ mod tests {
         s.add(1, 1, 2e-305);
         s.add_rhs(0, 3e-305);
         s.add_rhs(1, 2e-305);
-        let x = s.solve("test").unwrap();
+        let mut x = vec![0.0; s.dim()];
+        s.solve("test", &mut x).unwrap();
         assert!((x[0] - 3.0).abs() < 1e-9, "x0 = {}", x[0]);
         assert!((x[1] - 1.0).abs() < 1e-9, "x1 = {}", x[1]);
     }
@@ -296,7 +303,8 @@ mod tests {
         s.add(1, 1, 1.0);
         s.add_rhs(0, 2e-12);
         s.add_rhs(1, 3.0);
-        let x = s.solve("test").unwrap();
+        let mut x = vec![0.0; s.dim()];
+        s.solve("test", &mut x).unwrap();
         assert!((x[0] - 2.0).abs() < 1e-9);
         assert!((x[1] - 3.0).abs() < 1e-9);
     }
@@ -311,7 +319,11 @@ mod tests {
         s.add(1, 0, 2e6);
         s.add(1, 1, 2e6);
         s.add_rhs(0, 1.0);
-        assert!(matches!(s.solve("test"), Err(SpiceError::Singular { .. })));
+        let mut x = vec![0.0; 2];
+        assert!(matches!(
+            s.solve("test", &mut x),
+            Err(SpiceError::Singular { .. })
+        ));
     }
 
     #[test]
@@ -324,7 +336,8 @@ mod tests {
         s.stamp_conductance(Some(0), Some(1), g1);
         s.stamp_conductance(Some(1), None, g2);
         s.stamp_vsource(2, Some(0), None, 5.0);
-        let x = s.solve("divider").unwrap();
+        let mut x = vec![0.0; 3];
+        s.solve("divider", &mut x).unwrap();
         assert!((x[0] - 5.0).abs() < 1e-9);
         assert!((x[1] - 2.5).abs() < 1e-9);
         // Source current: 5V across 2k = 2.5 mA flowing out of + terminal.
@@ -340,7 +353,8 @@ mod tests {
         s.stamp_conductance(Some(1), None, 1.0); // 1S load at c
                                                  // current c<-d controlled by v(a)-0, gm=2: i flows from c to d(ground)
         s.stamp_vccs(Some(1), None, Some(0), None, 2.0);
-        let x = s.solve("vccs").unwrap();
+        let mut x = vec![0.0; 3];
+        s.solve("vccs", &mut x).unwrap();
         // KCL at c: g*v_c + gm*v_a = 0 -> v_c = -2.0
         assert!((x[1] + 2.0).abs() < 1e-12);
     }

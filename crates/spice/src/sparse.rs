@@ -511,6 +511,14 @@ impl SolverStats {
         self.demotions += other.demotions;
     }
 
+    /// Re-pivots, dense rescues and demotions so far: every event after
+    /// which the same assembled matrix may be solved along a different
+    /// path. Each term only grows, so an unchanged sum proves that none
+    /// of them happened in between.
+    pub(crate) fn path_changes(&self) -> u64 {
+        self.repivots + self.dense_fallbacks + self.demotions
+    }
+
     /// Adds these stats to the global telemetry counters
     /// (`spice.sparse.*`). Cheap no-op while telemetry is disabled.
     pub fn flush_to_telemetry(&self) {
@@ -571,8 +579,9 @@ impl Stamper for SparseSystem {
     }
 }
 
-/// Refactors and solves over `plan`. `lu` is resized to the plan's
-/// factor count; `work`/`y` are n-sized scratch buffers.
+/// Refactors and solves over `plan`, writing the solution into `x`
+/// (untouched on failure). `lu` is resized to the plan's factor count;
+/// `work`/`y` are n-sized scratch buffers.
 #[allow(clippy::too_many_arguments)]
 fn refactor_and_solve(
     plan: &Plan,
@@ -584,7 +593,8 @@ fn refactor_and_solve(
     work: &mut [f64],
     y: &mut [f64],
     analysis: &str,
-) -> Result<Vec<f64>, SpiceError> {
+    x: &mut [f64],
+) -> Result<(), SpiceError> {
     lu.resize(plan.cols.len(), 0.0);
     // Up-looking row LU: for each elimination row, scatter the
     // assembled values, eliminate against all earlier rows in the
@@ -663,11 +673,10 @@ fn refactor_and_solve(
         y[k] = sum * inv_diag[k];
     }
     // Un-permute the unknowns.
-    let mut x = vec![0.0; n];
     for k in 0..n {
         x[plan.col_perm[k] as usize] = y[k];
     }
-    Ok(x)
+    Ok(())
 }
 
 impl SparseSystem {
@@ -725,7 +734,8 @@ impl SparseSystem {
 
     /// Numeric-only refactorisation + solve over the frozen structure,
     /// re-pivoting from the current values when a pivot dies relative
-    /// to its row scale ([`REL_PIVOT_TOL`]). Assembled values and the
+    /// to its row scale ([`REL_PIVOT_TOL`]). Writes the solution into
+    /// `x` (length [`Pattern::dim`]). Assembled values and the
     /// right-hand side are left intact, so the dense fallback can
     /// re-solve the identical system.
     ///
@@ -733,7 +743,7 @@ impl SparseSystem {
     /// [`SpiceError::Singular`] when even the freshly re-pivoted plan
     /// hits a dead pivot — the caller is expected to retry with dense
     /// partial pivoting before declaring the system unsolvable.
-    pub fn solve(&mut self, analysis: &str) -> Result<Vec<f64>, SpiceError> {
+    pub fn solve(&mut self, analysis: &str, x: &mut [f64]) -> Result<(), SpiceError> {
         let n = self.pattern.n;
         self.stats.refactorisations += 1;
         let plan = self.local_plan.as_deref().unwrap_or(&self.pattern.plan);
@@ -747,8 +757,9 @@ impl SparseSystem {
             &mut self.work,
             &mut self.y,
             analysis,
+            x,
         ) {
-            Ok(x) => Ok(x),
+            Ok(()) => Ok(()),
             Err(_) => {
                 // The frozen order died at this operating point:
                 // re-pivot from the values actually on hand and retry.
@@ -760,7 +771,7 @@ impl SparseSystem {
                     }
                 })?;
                 self.stats.refactorisations += 1;
-                let x = refactor_and_solve(
+                refactor_and_solve(
                     &fresh,
                     n,
                     &self.vals,
@@ -770,16 +781,17 @@ impl SparseSystem {
                     &mut self.work,
                     &mut self.y,
                     analysis,
+                    x,
                 )?;
                 self.local_plan = Some(Box::new(fresh));
-                Ok(x)
+                Ok(())
             }
         }
     }
 
     /// Rebuilds the assembled system densely and solves it with partial
     /// pivoting — the robustness net under the frozen pivot orders.
-    fn solve_dense_fallback(&mut self, analysis: &str) -> Result<Vec<f64>, SpiceError> {
+    fn solve_dense_fallback(&mut self, analysis: &str, x: &mut [f64]) -> Result<(), SpiceError> {
         DENSE_FALLBACKS.fetch_add(1, Ordering::Relaxed);
         self.stats.dense_fallbacks += 1;
         let mut dense = MnaSystem::new(self.pattern.n);
@@ -787,7 +799,7 @@ impl SparseSystem {
             dense.add(r as usize, c as usize, self.vals[slot]);
         }
         dense.set_rhs(&self.rhs);
-        dense.solve(analysis)
+        dense.solve(analysis, x)
     }
 }
 
@@ -1046,7 +1058,8 @@ impl MnaSolver {
         out
     }
 
-    /// Solves the assembled system.
+    /// Solves the assembled system, writing the solution into `x`
+    /// (length [`Stamper::dim`]); `x` is left untouched on failure.
     ///
     /// A sparse system that keeps needing the dense rescue (both the
     /// frozen plan and a fresh numeric re-pivot failing, solve after
@@ -1058,13 +1071,13 @@ impl MnaSolver {
     /// # Errors
     /// [`SpiceError::Singular`] when the system is singular even under
     /// dense partial pivoting.
-    pub fn solve(&mut self, analysis: &str) -> Result<Vec<f64>, SpiceError> {
+    pub fn solve(&mut self, analysis: &str, x: &mut [f64]) -> Result<(), SpiceError> {
         let mut demote = false;
         let out = match &mut self.backend {
-            SolverBackend::Dense(sys) => sys.solve(analysis),
-            SolverBackend::Sparse(sys) => match sys.solve(analysis) {
+            SolverBackend::Dense(sys) => sys.solve(analysis, x),
+            SolverBackend::Sparse(sys) => match sys.solve(analysis, x) {
                 Err(SpiceError::Singular { .. }) => {
-                    let rescued = sys.solve_dense_fallback(analysis);
+                    let rescued = sys.solve_dense_fallback(analysis, x);
                     if rescued.is_ok() {
                         sys.consecutive_fallbacks += 1;
                         demote = sys.consecutive_fallbacks >= DEMOTE_AFTER_FALLBACKS;
@@ -1142,7 +1155,10 @@ mod tests {
             sp.add_rhs(i, v);
             de.add_rhs(i, v);
         }
-        (sp.solve("sparse").unwrap(), de.solve("dense").unwrap())
+        let (mut xs, mut xd) = (vec![0.0; n], vec![0.0; n]);
+        sp.solve("sparse", &mut xs).unwrap();
+        de.solve("dense", &mut xd).unwrap();
+        (xs, xd)
     }
 
     #[test]
@@ -1194,7 +1210,8 @@ mod tests {
             sys.add(1, 1, 3.0 * scale);
             sys.add_rhs(0, 5.0 * scale);
             sys.add_rhs(1, 10.0 * scale);
-            let x = sys.solve("refactor").unwrap();
+            let mut x = vec![0.0; 2];
+            sys.solve("refactor", &mut x).unwrap();
             assert!((x[0] - 1.0).abs() < 1e-12, "scale {scale}: {x:?}");
             assert!((x[1] - 3.0).abs() < 1e-12, "scale {scale}: {x:?}");
         }
@@ -1219,8 +1236,9 @@ mod tests {
         solver.add(1, 0, 2.0);
         solver.add(1, 1, 4.0);
         solver.add_rhs(0, 1.0);
+        let mut x = vec![0.0; 2];
         assert!(matches!(
-            solver.solve("fallback"),
+            solver.solve("fallback", &mut x),
             Err(SpiceError::Singular { .. })
         ));
         let stats = solver.stats();
@@ -1254,7 +1272,8 @@ mod tests {
             solver.add(1, 1, 1.0);
             solver.add_rhs(0, 1.0);
             solver.add_rhs(1, 1.0);
-            let x = solver.solve("demote").expect("dense rescue solves");
+            let mut x = vec![0.0; 2];
+            solver.solve("demote", &mut x).expect("dense rescue solves");
             assert!(x[0].abs() < 1e-9 && (x[1] - 1.0).abs() < 1e-12, "{x:?}");
             let expect_sparse = round == 0;
             assert_eq!(solver.is_sparse(), expect_sparse, "round {round}");
@@ -1268,7 +1287,7 @@ mod tests {
         solver.clear();
         solver.add(0, 0, 1.0);
         solver.add(1, 1, 1.0);
-        solver.solve("post-demotion").unwrap();
+        solver.solve("post-demotion", &mut [0.0; 2]).unwrap();
         assert_eq!(solver.stats(), stats);
     }
 
@@ -1304,9 +1323,10 @@ mod tests {
             sp.add_rhs(i, (i + 1) as f64);
             de.add_rhs(i, (i + 1) as f64);
         }
-        let xs = sp.solve("repivot").unwrap();
+        let (mut xs, mut xd) = (vec![0.0; n], vec![0.0; n]);
+        sp.solve("repivot", &mut xs).unwrap();
         assert!(sp.repivoted(), "growth guard must trigger the re-pivot");
-        let xd = de.solve("dense").unwrap();
+        de.solve("dense", &mut xd).unwrap();
         for (a, b) in xs.iter().zip(&xd) {
             let scale = b.abs().max(1.0);
             assert!((a - b).abs() < 1e-9 * scale, "{xs:?} vs {xd:?}");

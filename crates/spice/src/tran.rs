@@ -3,6 +3,24 @@
 //! Fixed-step backward-Euler by default (the paper ran a 400-step
 //! transient), with a trapezoidal option and automatic local step
 //! halving when Newton fails at a switching event.
+//!
+//! ## The Newton ladder
+//!
+//! Every step (and every half step) climbs the same ladder until a
+//! rung converges:
+//!
+//! 1. plain Newton with the spec's options (200 iterations, 1 V step
+//!    clamp by default);
+//! 2. a damped retry from the same start: three times the iterations
+//!    with the step clamped to 0.1 V, for regenerative switching points;
+//! 3. halving: the step splits in two and each half climbs the ladder
+//!    again, up to `max_halvings` levels deep.
+//!
+//! A failing damped rung usually settles into a bit-exact cycle, and
+//! [`crate::dcop::solve_newton_in`] then ends it early with the error
+//! its iteration cap would have produced. Verdicts, waveforms and the
+//! step, halving and Newton counts are exactly those of running every
+//! rung to its cap; only the linear solves of the failed rungs go.
 
 use crate::dcop::{dc_operating_point_with, solve_newton_in, NewtonOpts};
 use crate::devices::{CapCompanion, StampParams, StampPlan, UnknownMap};
@@ -123,12 +141,8 @@ pub struct TranResult {
     times: Vec<f64>,
     names: Vec<String>,
     data: Vec<Vec<f64>>, // indexed [node-1][sample]
-    /// Newton iterations consumed over the whole run (a work measure —
-    /// the paper compares fault-model runtimes via such counters).
-    /// Equal to `stats.newton_iterations`; kept as a field because it
-    /// predates [`TranStats`].
-    pub newton_iterations: u64,
-    /// Full work counters for the run.
+    /// Work counters for the run (the paper compares fault-model
+    /// runtimes via such counters).
     pub stats: TranStats,
 }
 
@@ -335,6 +349,7 @@ where
     // When tstop is not a multiple of tstep, a final partial step lands
     // exactly on tstop instead of silently over- or under-shooting.
     let (full_steps, partial) = spec.grid();
+    let mut companions = Vec::with_capacity(instances.len());
     let mut t = 0.0;
     if on_sample(t, &x[..n_nodes]) {
         let mut record =
@@ -365,6 +380,7 @@ where
                 spec,
                 integ,
                 &instances,
+                &mut companions,
                 &mut x,
                 &mut caps,
                 t,
@@ -393,6 +409,7 @@ where
                     spec,
                     integ,
                     &instances,
+                    &mut companions,
                     &mut x,
                     &mut caps,
                     t,
@@ -414,7 +431,6 @@ where
         times,
         names,
         data,
-        newton_iterations: stats.newton_iterations,
         stats,
     })
 }
@@ -439,16 +455,18 @@ fn flush_tran_stats(stats: &TranStats) {
 }
 
 /// Advances the solution from `t0` to `t1`, recursively halving on
-/// Newton failure.
+/// Newton failure. `companions` is the run's scratch buffer for the
+/// step's capacitance companions.
 #[allow(clippy::too_many_arguments)]
 fn advance(
     ckt: &Circuit,
     map: &UnknownMap,
-    plan: &StampPlan<'_>,
+    plan: &StampPlan,
     solver: &mut MnaSolver,
     spec: &TranSpec,
     integrator: Integrator,
     instances: &[CapInstance],
+    companions: &mut Vec<CapCompanion>,
     x: &mut Vec<f64>,
     caps: &mut Vec<CapState>,
     t0: f64,
@@ -458,31 +476,28 @@ fn advance(
 ) -> Result<(), SpiceError> {
     let dt = t1 - t0;
     // Build companions for this step.
-    let companions: Vec<CapCompanion> = instances
-        .iter()
-        .zip(caps.iter())
-        .map(|(inst, st)| {
-            let (geq, ieq) = match integrator {
-                Integrator::BackwardEuler => {
-                    let geq = inst.c / dt;
-                    (geq, -geq * st.v_prev)
-                }
-                Integrator::Trapezoidal => {
-                    let geq = 2.0 * inst.c / dt;
-                    (geq, -geq * st.v_prev - st.i_prev)
-                }
-            };
-            CapCompanion {
-                a: inst.a,
-                b: inst.b,
-                geq,
-                ieq,
+    companions.clear();
+    companions.extend(instances.iter().zip(caps.iter()).map(|(inst, st)| {
+        let (geq, ieq) = match integrator {
+            Integrator::BackwardEuler => {
+                let geq = inst.c / dt;
+                (geq, -geq * st.v_prev)
             }
-        })
-        .collect();
+            Integrator::Trapezoidal => {
+                let geq = 2.0 * inst.c / dt;
+                (geq, -geq * st.v_prev - st.i_prev)
+            }
+        };
+        CapCompanion {
+            a: inst.a,
+            b: inst.b,
+            geq,
+            ieq,
+        }
+    }));
     let params = StampParams {
         time: t1,
-        cap_companions: Some(&companions),
+        cap_companions: Some(companions),
         ..StampParams::default()
     };
     // Newton ladder: the configured options first, then a heavily
@@ -501,7 +516,7 @@ fn advance(
             stats.steps += 1;
             stats.newton_iterations += iters as u64;
             // Commit capacitance states.
-            for ((inst, st), cc) in instances.iter().zip(caps.iter_mut()).zip(&companions) {
+            for ((inst, st), cc) in instances.iter().zip(caps.iter_mut()).zip(companions.iter()) {
                 let v_new = map.voltage(&next, inst.a) - map.voltage(&next, inst.b);
                 st.i_prev = cc.geq * v_new + cc.ieq;
                 st.v_prev = v_new;
@@ -523,6 +538,7 @@ fn advance(
                 spec,
                 integrator,
                 instances,
+                companions,
                 x,
                 caps,
                 t0,
@@ -538,6 +554,7 @@ fn advance(
                 spec,
                 integrator,
                 instances,
+                companions,
                 x,
                 caps,
                 tm,
@@ -799,7 +816,7 @@ mod tests {
         let res = tran_with(&c, &spec, |t, _| t < 2e-3).unwrap();
         let last = *res.times().last().unwrap();
         assert!((2e-3..2.2e-3).contains(&last), "stopped at {last}");
-        assert!(res.newton_iterations < reference.newton_iterations);
+        assert!(res.stats.newton_iterations < reference.stats.newton_iterations);
     }
 
     /// A plain resistive divider driven by a DC source: converges in
